@@ -15,7 +15,9 @@ workers were actually *usable* (``min(workers, cpu_count)``), and its
 cores it asked for is marked ``"constrained": true`` instead of
 silently reporting a ~1.0x "speedup" that is really the in-process
 fallback.  The ≥2x-at-4-workers assertion only applies where 4 cores
-are actually available.
+are actually available; on a 2-3 core host the two-worker arm runs a
+real pool and must reach ≥1.2x; on one core both pool arms are
+constrained.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ BENCH_DOMAINS = 600
 #: is <= 10 %; wall-clock jitter on shared runners can exceed that on
 #: sub-second runs, so each configuration takes the best of two runs).
 OVERHEAD_LIMIT = 0.10
+
+#: Floor for the two-worker pool on a 2-3 core host (measured: ~1.65x).
+MIN_TWO_WORKER_SPEEDUP = 1.2
 
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_scan_throughput.json"
 
@@ -126,7 +131,17 @@ def test_scan_throughput(population):
             f"expected >=2x speedup at 4 workers on {cpu_count} cores: "
             f"{w4['domains_per_sec']} vs {seq_rate} domains/s"
         )
+    elif cpu_count >= 2:
+        # Two cores are enough for a real two-worker pool.
+        w2 = results["workers_2"]
+        assert "constrained" not in w2
+        assert w2["speedup_vs_sequential"] >= MIN_TWO_WORKER_SPEEDUP, (
+            f"expected >={MIN_TWO_WORKER_SPEEDUP}x speedup at 2 workers on "
+            f"{cpu_count} cores: {w2['domains_per_sec']} vs {seq_rate} domains/s"
+        )
+        assert results["workers_4"].get("constrained") is True
+        print(f"  ({cpu_count} cores: 4-worker speedup assertion not applicable)")
     else:
         assert results["workers_2"].get("constrained") is True
         assert results["workers_4"].get("constrained") is True
-        print(f"  ({cpu_count} core(s): 4-worker speedup assertion not applicable)")
+        print("  (1 core: pool speedup assertions not applicable)")

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Per-PR perf gate: run the tier-1 tests, then the perf benchmarks
-# (scan, monitor, and analyze throughput; telemetry, fault, profiler,
+# (scan, monitor, and analyze throughput; the per-datagram QUIC codec
+# split; telemetry, fault, profiler,
 # and migration-resolver overhead; query pushdown and service query
 # latency),
 # and append each benchmark's result (stamped with commit and timestamp)
@@ -54,33 +55,46 @@ python -m pytest -q -s benchmarks/test_perf_scan_throughput.py
 
 echo "== scan scaling gate =="
 # The work-stealing pool must actually scale where the hardware allows
-# it: >=2x sequential at 4 workers on a >=4-core host.  On smaller
-# hosts the arm is constrained (in-process fallback) and the gate is
-# skipped with a notice rather than asserting a number the machine
-# cannot produce.
+# it: >=2x sequential at 4 workers on a >=4-core host, >=1.2x at 2
+# workers on a 2-3 core host.  On one core both pool arms are
+# constrained (in-process fallback) and the gate is skipped with a
+# notice rather than asserting a number the machine cannot produce.
 python - <<'PY'
 import json
 import sys
 
 result = json.loads(open("BENCH_scan_throughput.json", encoding="utf-8").read())
 cpu_count = result["cpu_count"]
-arm = result["results"]["workers_4"]
-speedup = arm["speedup_vs_sequential"]
 if cpu_count >= 4:
-    if arm.get("constrained"):
-        sys.exit(f"scaling gate FAILED: workers_4 constrained on {cpu_count} cores")
-    if speedup < 2.0:
-        sys.exit(
-            f"scaling gate FAILED: workers_4 speedup {speedup:.2f}x < 2.0x "
-            f"sequential on {cpu_count} cores"
-        )
-    print(f"scaling gate OK: workers_4 {speedup:.2f}x sequential on {cpu_count} cores")
+    workers, floor = 4, 2.0
+elif cpu_count >= 2:
+    workers, floor = 2, 1.2
 else:
+    workers, floor = None, None
+if workers is None:
+    speedup = result["results"]["workers_2"]["speedup_vs_sequential"]
     print(
-        f"scaling gate SKIPPED ({cpu_count} core(s)): workers_4 ran "
-        f"constrained at {speedup:.2f}x; >=4 cores required to assert >=2.0x"
+        f"scaling gate SKIPPED (1 core): workers_2 ran constrained at "
+        f"{speedup:.2f}x; >=2 cores required to assert a pool speedup"
+    )
+else:
+    arm = result["results"][f"workers_{workers}"]
+    speedup = arm["speedup_vs_sequential"]
+    if arm.get("constrained"):
+        sys.exit(f"scaling gate FAILED: workers_{workers} constrained on {cpu_count} cores")
+    if speedup < floor:
+        sys.exit(
+            f"scaling gate FAILED: workers_{workers} speedup {speedup:.2f}x < "
+            f"{floor}x sequential on {cpu_count} cores"
+        )
+    print(
+        f"scaling gate OK: workers_{workers} {speedup:.2f}x sequential "
+        f"on {cpu_count} cores"
     )
 PY
+
+echo "== quic-codec microbenchmark =="
+python -m pytest -q -s benchmarks/test_perf_quic_codec.py
 
 echo "== monitor-throughput benchmark =="
 python -m pytest -q -s benchmarks/test_perf_monitor_throughput.py
@@ -123,6 +137,7 @@ timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
 )
 for result_file in (
     "BENCH_scan_throughput.json",
+    "BENCH_quic_codec.json",
     "BENCH_monitor_throughput.json",
     "BENCH_analyze_throughput.json",
     "BENCH_telemetry_overhead.json",

@@ -13,23 +13,24 @@ __all__ = ["SimClock"]
 
 
 class SimClock:
-    """Monotonically advancing simulated time in milliseconds."""
+    """Monotonically advancing simulated time in milliseconds.
+
+    ``now_ms`` is a plain attribute: it is read for nearly every
+    simulated packet, so it is kept one attribute load away.  Move it
+    only through :meth:`advance_to`.
+    """
 
     def __init__(self, start_ms: float = 0.0):
-        self._now_ms = float(start_ms)
-
-    @property
-    def now_ms(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now_ms
+        #: Current simulated time in milliseconds.
+        self.now_ms = float(start_ms)
 
     def advance_to(self, time_ms: float) -> None:
         """Move the clock forward to ``time_ms``; never backwards."""
-        if time_ms < self._now_ms:
+        if time_ms < self.now_ms:
             raise ValueError(
-                f"clock cannot move backwards: {time_ms} < {self._now_ms}"
+                f"clock cannot move backwards: {time_ms} < {self.now_ms}"
             )
-        self._now_ms = time_ms
+        self.now_ms = time_ms
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SimClock(now_ms={self._now_ms:.3f})"
+        return f"SimClock(now_ms={self.now_ms:.3f})"

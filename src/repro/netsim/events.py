@@ -18,8 +18,12 @@ from repro.netsim.clock import SimClock
 __all__ = ["Simulator"]
 
 
-class Simulator:
+class Simulator(SimClock):
     """Event queue plus clock; the spine of every simulated measurement.
+
+    The simulator *is* its clock: ``now_ms`` is the inherited plain
+    attribute, not a property chain, because endpoints, paths and
+    application models read it for every packet.
 
     ``metrics`` optionally binds the simulator to a telemetry registry
     (:mod:`repro.telemetry`): events dispatched are counted and the
@@ -29,7 +33,7 @@ class Simulator:
     """
 
     def __init__(self, start_ms: float = 0.0, metrics=None):
-        self.clock = SimClock(start_ms)
+        super().__init__(start_ms)
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         #: Monotone tiebreaker for FIFO among equal timestamps; a plain
         #: int avoids one generator frame per scheduled event.
@@ -46,11 +50,6 @@ class Simulator:
         else:
             self._m_events = None
             self._m_high_water = None
-
-    @property
-    def now_ms(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self.clock.now_ms
 
     @property
     def pending_events(self) -> int:
@@ -76,13 +75,13 @@ class Simulator:
         """Run ``callback`` ``delay_ms`` milliseconds from now."""
         if delay_ms < 0:
             raise ValueError(f"cannot schedule into the past: delay {delay_ms}")
-        self.schedule_at(self.clock.now_ms + delay_ms, callback)
+        self.schedule_at(self.now_ms + delay_ms, callback)
 
     def schedule_at(self, time_ms: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute simulated time ``time_ms``."""
-        if time_ms < self.clock.now_ms:
+        if time_ms < self.now_ms:
             raise ValueError(
-                f"cannot schedule into the past: {time_ms} < {self.clock.now_ms}"
+                f"cannot schedule into the past: {time_ms} < {self.now_ms}"
             )
         sequence = self._sequence
         self._sequence = sequence + 1
@@ -100,7 +99,7 @@ class Simulator:
         """
         executed = 0
         queue = self._queue
-        advance_to = self.clock.advance_to
+        advance_to = self.advance_to
         while queue:
             if executed >= max_events:
                 raise RuntimeError(f"simulation exceeded {max_events} events")
@@ -125,7 +124,7 @@ class Simulator:
         """
         executed = 0
         queue = self._queue
-        advance_to = self.clock.advance_to
+        advance_to = self.advance_to
         while queue and queue[0][0] <= deadline_ms:
             if executed >= max_events:
                 raise RuntimeError(f"simulation exceeded {max_events} events")
@@ -134,7 +133,7 @@ class Simulator:
             callback()
             executed += 1
             self._processed += 1
-        if settle and self.clock.now_ms < deadline_ms:
+        if settle and self.now_ms < deadline_ms:
             advance_to(deadline_ms)
         self._export_metrics(executed)
         return executed

@@ -19,8 +19,10 @@ behave as they would for the real thing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from enum import Enum
+from bisect import bisect_left, bisect_right
+from collections import deque
+from dataclasses import dataclass
+from enum import IntEnum
 from typing import Callable
 
 from repro.core.spin import EndpointRole, SpinBitState, SpinPolicy
@@ -36,6 +38,7 @@ from repro.quic.datagram import (
 )
 from repro.quic.frames import (
     AckFrame,
+    AckRange,
     ConnectionCloseFrame,
     CryptoFrame,
     Frame,
@@ -48,7 +51,6 @@ from repro.quic.frames import (
 from repro.quic.packet import (
     LongHeader,
     LongPacketType,
-    PacketType,
     ShortHeader,
     VersionNegotiationHeader,
 )
@@ -73,24 +75,28 @@ CLIENT_FINISHED_SIZE = 52
 _INITIAL_PACKET_MIN_SIZE = 1200
 
 
-class PacketSpace(Enum):
-    """The three packet-number spaces of a QUIC connection."""
+class PacketSpace(IntEnum):
+    """The three packet-number spaces of a QUIC connection.
 
-    INITIAL = "initial"
-    HANDSHAKE = "handshake"
-    APPLICATION = "application"
+    The value indexes an endpoint's per-space state
+    (``endpoint.spaces[PacketSpace.HANDSHAKE]``).
+    """
+
+    INITIAL = 0
+    HANDSHAKE = 1
+    APPLICATION = 2
 
 
-_SPACE_TO_PACKET_TYPE = {
-    PacketSpace.INITIAL: PacketType.INITIAL,
-    PacketSpace.HANDSHAKE: PacketType.HANDSHAKE,
-    PacketSpace.APPLICATION: PacketType.ONE_RTT,
-}
-_PACKET_TYPE_TO_SPACE = {
-    PacketType.INITIAL: PacketSpace.INITIAL,
-    PacketType.HANDSHAKE: PacketSpace.HANDSHAKE,
-    PacketType.ONE_RTT: PacketSpace.APPLICATION,
-}
+# Enum members looked up through their class cost an attribute search
+# on every access; the per-packet paths below use these module aliases.
+_INITIAL = PacketSpace.INITIAL
+_HANDSHAKE = PacketSpace.HANDSHAKE
+_APPLICATION = PacketSpace.APPLICATION
+_CLIENT = EndpointRole.CLIENT
+_SERVER = EndpointRole.SERVER
+_LONG_INITIAL = LongPacketType.INITIAL
+_LONG_HANDSHAKE = LongPacketType.HANDSHAKE
+_LONG_RETRY = LongPacketType.RETRY
 
 
 @dataclass(frozen=True)
@@ -150,13 +156,70 @@ class ConnectionConfig:
     issue_alternate_cids: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _SentPacketInfo:
     time_ms: float
     frames: tuple[Frame, ...]
     ack_eliciting: bool
     acked: bool = False
     retransmitted: bool = False
+
+
+class ReceivedRanges:
+    """The packet numbers received in one space, kept as ACK ranges.
+
+    Disjoint inclusive ``[smallest, largest]`` ranges in ascending
+    order, updated as each packet arrives; an in-order packet extends
+    the top range in constant time, so building an ACK frame never
+    re-sorts everything ever received.
+    """
+
+    __slots__ = ("_ranges", "_count")
+
+    def __init__(self) -> None:
+        self._ranges: list[list[int]] = []
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def add(self, pn: int) -> bool:
+        """Record ``pn``; False if it had already been received."""
+        ranges = self._ranges
+        index = len(ranges) - 1
+        if index >= 0:
+            top = ranges[index]
+            if pn == top[1] + 1:
+                top[1] = pn
+                self._count += 1
+                return True
+        # Walk down to the highest range starting at or below ``pn``;
+        # reordered packets land near the top, so the walk is short.
+        while index >= 0 and ranges[index][0] > pn:
+            index -= 1
+        below = ranges[index] if index >= 0 else None
+        if below is not None and pn <= below[1]:
+            return False
+        above = ranges[index + 1] if index + 1 < len(ranges) else None
+        joins_below = below is not None and below[1] == pn - 1
+        joins_above = above is not None and above[0] == pn + 1
+        if joins_below and joins_above:
+            below[1] = above[1]
+            del ranges[index + 1]
+        elif joins_below:
+            below[1] = pn
+        elif joins_above:
+            above[0] = pn
+        else:
+            ranges.insert(index + 1, [pn, pn])
+        self._count += 1
+        return True
+
+    def ack_ranges(self) -> tuple[AckRange, ...]:
+        """The ranges as an ACK frame carries them: largest first."""
+        return tuple(
+            AckRange(smallest, largest) for smallest, largest in reversed(self._ranges)
+        )
 
 
 class _SpaceState:
@@ -167,8 +230,11 @@ class _SpaceState:
         self.largest_acked_by_peer: int | None = None
         self.largest_received: int | None = None
         self.largest_received_time_ms = 0.0
-        self.received_pns: set[int] = set()
+        self.received_pns = ReceivedRanges()
         self.sent: dict[int, _SentPacketInfo] = {}
+        #: Sent packet numbers not yet acknowledged, ascending (packet
+        #: numbers are allocated in order, so appending keeps it sorted).
+        self.unacked: list[int] = []
         self.pending_ack_eliciting = 0
         self.ack_timer_generation = 0
         # Reassembly buffer for the peer's crypto stream in this space.
@@ -235,7 +301,7 @@ class QuicEndpoint:
         self._retry_token = b""
         self._version_negotiated = False
 
-        self.spaces = {space: _SpaceState() for space in PacketSpace}
+        self.spaces = [_SpaceState() for _ in PacketSpace]
         #: What this endpoint announces in its handshake flight.
         self.local_params = TransportParameters(
             ack_delay_exponent=config.ack_delay_exponent,
@@ -264,7 +330,7 @@ class QuicEndpoint:
 
         # Stream state: send queue of (stream_id, bytes, fin) chunks that
         # respect the congestion window, and per-stream receive buffers.
-        self._stream_send_queue: list[tuple[int, bytes, bool]] = []
+        self._stream_send_queue: deque[tuple[int, bytes, bool]] = deque()
         self._stream_offsets_sent: dict[int, int] = {}
         self._stream_recv: dict[int, dict[int, bytes]] = {}
         self._stream_recv_delivered: dict[int, int] = {}
@@ -277,7 +343,7 @@ class QuicEndpoint:
         self._peer_issued_cids: list[ConnectionId] = []
         self._cid_rotated = False
 
-        self._crypto_send_offset = {space: 0 for space in PacketSpace}
+        self._crypto_send_offset = [0 for _ in PacketSpace]
 
     # ------------------------------------------------------------------
     # Wiring
@@ -364,105 +430,112 @@ class QuicEndpoint:
     def _receive_packet(self, packet: ParsedPacket) -> None:
         header = packet.header
         now = self.simulator.now_ms
+        is_short = header.__class__ is ShortHeader
         if self._m_packets_received is not None:
             self._m_packets_received.inc()
-            if isinstance(header, ShortHeader):
+            if is_short:
                 if (
                     self._last_spin_rx is not None
                     and header.spin_bit != self._last_spin_rx
                 ):
                     self._m_spin_edges.inc()
                 self._last_spin_rx = header.spin_bit
-        if isinstance(header, VersionNegotiationHeader):
-            if self.recorder is not None:
-                self.recorder.on_packet_received(
-                    now, header.packet_type.value, 0, None, 0
-                )
-            self._handle_version_negotiation(header)
-            return
-        if isinstance(header, LongHeader) and header.long_type is LongPacketType.RETRY:
-            if self.recorder is not None:
-                self.recorder.on_packet_received(
-                    now, header.packet_type.value, 0, None, 0
-                )
-            self._handle_retry(header)
-            return
-        if (
-            self.role is EndpointRole.SERVER
-            and isinstance(header, LongHeader)
-            and header.long_type is LongPacketType.INITIAL
-        ):
-            if header.version not in {int(v) for v in self.config.supported_versions}:
-                self._send_version_negotiation(header)
+        if is_short:
+            space = _APPLICATION
+        else:
+            if header.__class__ is VersionNegotiationHeader:
+                if self.recorder is not None:
+                    self.recorder.on_packet_received(
+                        now, header.packet_type.value, 0, None, 0
+                    )
+                self._handle_version_negotiation(header)
                 return
-            if self.config.retry_required and not header.token:
-                self._send_retry(header)
+            long_type = header.long_type
+            if long_type is _LONG_RETRY:
+                if self.recorder is not None:
+                    self.recorder.on_packet_received(
+                        now, header.packet_type.value, 0, None, 0
+                    )
+                self._handle_retry(header)
                 return
-            self.version = header.version
-        space = _PACKET_TYPE_TO_SPACE[header.packet_type]
+            if self.role is _SERVER and long_type is _LONG_INITIAL:
+                if header.version not in {int(v) for v in self.config.supported_versions}:
+                    self._send_version_negotiation(header)
+                    return
+                if self.config.retry_required and not header.token:
+                    self._send_retry(header)
+                    return
+                self.version = header.version
+            space = _space_of(header)
         state = self.spaces[space]
         full_pn = decode_packet_number(
             header.packet_number, header.pn_length, state.largest_received
         )
 
-        spin_bit = header.spin_bit if isinstance(header, ShortHeader) else None
-        vec = header.vec if isinstance(header, ShortHeader) else 0
         if self.recorder is not None:
+            # ``_value_`` is the qlog name; ``.value`` is a slower
+            # descriptor lookup on this per-packet path.
             self.recorder.on_packet_received(
-                now, header.packet_type.value, full_pn, spin_bit, packet.wire_length, vec
+                now,
+                header.packet_type._value_,
+                full_pn,
+                header.spin_bit if is_short else None,
+                packet.wire_length,
+                header.vec if is_short else 0,
             )
 
-        if full_pn in state.received_pns:
+        if not state.received_pns.add(full_pn):
             return  # duplicate: recorded, not reprocessed
-        state.received_pns.add(full_pn)
         is_new_largest = state.largest_received is None or full_pn > state.largest_received
         if is_new_largest:
             state.largest_received = full_pn
 
-        if isinstance(header, ShortHeader):
+        if is_short:
             self.spin.on_packet_received(full_pn, header.spin_bit)
             if self.vec_state is not None:
                 self.vec_state.on_packet_received(full_pn, header.spin_bit, header.vec)
-        elif isinstance(header, LongHeader) and self.remote_cid is None:
+        elif self.remote_cid is None:
             self.remote_cid = header.source_cid
-        elif (
-            isinstance(header, LongHeader)
-            and self.role is EndpointRole.CLIENT
-            and header.long_type is LongPacketType.INITIAL
-        ):
+        elif self.role is _CLIENT and header.long_type is _LONG_INITIAL:
             # The server replaces the client-invented DCID with its own
             # source CID (RFC 9000 7.2).
             self.remote_cid = header.source_cid
 
-        ack_eliciting = any(frame.is_ack_eliciting for frame in packet.frames)
+        frames = packet.frames
+        ack_eliciting = False
+        for frame in frames:
+            if frame.is_ack_eliciting:
+                ack_eliciting = True
+                break
         if ack_eliciting and is_new_largest:
             state.largest_received_time_ms = now
 
-        for frame in packet.frames:
+        for frame in frames:
             self._handle_frame(space, frame)
 
         if ack_eliciting and not self.closed:
             self._on_ack_eliciting_received(space)
 
     def _handle_frame(self, space: PacketSpace, frame: Frame) -> None:
-        if isinstance(frame, AckFrame):
-            self._handle_ack(space, frame)
-        elif isinstance(frame, CryptoFrame):
-            self._handle_crypto(space, frame)
-        elif isinstance(frame, StreamFrame):
+        kind = frame.__class__
+        if kind is StreamFrame:
             self._handle_stream(frame)
-        elif isinstance(frame, NewConnectionIdFrame):
+        elif kind is AckFrame:
+            self._handle_ack(space, frame)
+        elif kind is CryptoFrame:
+            self._handle_crypto(space, frame)
+        elif kind is NewConnectionIdFrame:
             self._peer_issued_cids.append(ConnectionId(frame.connection_id))
-        elif isinstance(frame, HandshakeDoneFrame):
+        elif kind is HandshakeDoneFrame:
             first_confirm = not self.handshake_confirmed
             self.handshake_confirmed = True
             if (
                 first_confirm
-                and self.role is EndpointRole.CLIENT
+                and self.role is _CLIENT
                 and self.config.issue_alternate_cids > 0
             ):
                 self._issue_alternate_cids()
-        elif isinstance(frame, ConnectionCloseFrame):
+        elif kind is ConnectionCloseFrame:
             self.closed = True
             self.peer_close_error_code = frame.error_code
             if self.on_connection_close is not None:
@@ -563,6 +636,7 @@ class QuicEndpoint:
         state = self.spaces[PacketSpace.INITIAL]
         for info in state.sent.values():
             info.acked = True
+        state.unacked.clear()
         state.crypto_chunks.clear()
         state.crypto_message = None
 
@@ -572,12 +646,27 @@ class QuicEndpoint:
 
     def _handle_ack(self, space: PacketSpace, frame: AckFrame) -> None:
         state = self.spaces[space]
+        # Only still-unacknowledged sent packets inside the ranges are
+        # visited, in the descending order the ranges list them.
+        unacked = state.unacked
+        newly_acked: list[int] = []
+        if unacked:
+            lowest = unacked[0]
+            for rng in frame.ranges:
+                if rng.largest < lowest:
+                    break
+                low = bisect_left(unacked, rng.smallest)
+                high = bisect_right(unacked, rng.largest)
+                if low < high:
+                    newly_acked.extend(reversed(unacked[low:high]))
+                    del unacked[low:high]
         now = self.simulator.now_ms
         newly_acked_eliciting = 0
-        for pn in frame.acked_packet_numbers():
-            info = state.sent.get(pn)
-            if info is None or info.acked:
-                continue
+        largest = frame.largest_acknowledged
+        is_application = space is _APPLICATION
+        sent = state.sent
+        for pn in newly_acked:
+            info = sent[pn]
             info.acked = True
             if self.on_ping_acked is not None and any(
                 isinstance(f, PingFrame) for f in info.frames
@@ -586,29 +675,27 @@ class QuicEndpoint:
                 callback()
             if info.ack_eliciting:
                 newly_acked_eliciting += 1
-                if space is PacketSpace.APPLICATION:
+                if is_application:
                     self._app_packets_in_flight = max(0, self._app_packets_in_flight - 1)
-            if pn == frame.largest_acknowledged and info.ack_eliciting:
-                sample = self.rtt_estimator.on_ack_received(
-                    now,
-                    info.time_ms,
-                    frame.ack_delay_us / 1000.0,
-                    handshake_confirmed=self.handshake_confirmed,
-                )
-                if self.recorder is not None:
-                    self.recorder.on_rtt_sample(
+                if pn == largest:
+                    sample = self.rtt_estimator.on_ack_received(
                         now,
-                        sample.latest_rtt_ms,
-                        sample.adjusted_rtt_ms,
-                        sample.ack_delay_ms,
-                        self.rtt_estimator.smoothed_rtt_ms,
-                        self.rtt_estimator.min_rtt_ms or sample.latest_rtt_ms,
+                        info.time_ms,
+                        frame.ack_delay_us / 1000.0,
+                        handshake_confirmed=self.handshake_confirmed,
                     )
-        if state.largest_acked_by_peer is None or (
-            frame.largest_acknowledged > state.largest_acked_by_peer
-        ):
-            state.largest_acked_by_peer = frame.largest_acknowledged
-        if space is PacketSpace.APPLICATION and newly_acked_eliciting:
+                    if self.recorder is not None:
+                        self.recorder.on_rtt_sample(
+                            now,
+                            sample.latest_rtt_ms,
+                            sample.adjusted_rtt_ms,
+                            sample.ack_delay_ms,
+                            self.rtt_estimator.smoothed_rtt_ms,
+                            self.rtt_estimator.min_rtt_ms or sample.latest_rtt_ms,
+                        )
+        if state.largest_acked_by_peer is None or largest > state.largest_acked_by_peer:
+            state.largest_acked_by_peer = largest
+        if is_application and newly_acked_eliciting:
             grown = self._congestion_window + newly_acked_eliciting
             self._congestion_window = min(
                 grown, self.config.max_congestion_window_packets
@@ -624,7 +711,7 @@ class QuicEndpoint:
     def _on_ack_eliciting_received(self, space: PacketSpace) -> None:
         state = self.spaces[space]
         state.pending_ack_eliciting += 1
-        if space is not PacketSpace.APPLICATION:
+        if space is not _APPLICATION:
             # Handshake spaces: acknowledge promptly (RFC 9002 6.2.1 —
             # our handshake choreography piggybacks these ACKs, so a
             # standalone ACK is only needed if nothing else was sent).
@@ -652,7 +739,7 @@ class QuicEndpoint:
         state = self.spaces[space]
         if state.largest_received is None:
             raise RuntimeError("nothing to acknowledge")
-        ranges = _pns_to_ranges(state.received_pns)
+        ranges = state.received_pns.ack_ranges()
         delay_ms = max(0.0, self.simulator.now_ms - state.largest_received_time_ms)
         state.pending_ack_eliciting = 0
         state.ack_timer_generation += 1
@@ -850,15 +937,15 @@ class QuicEndpoint:
             and self._app_packets_in_flight < self._congestion_window
             and not self.closed
         ):
-            stream_id, chunk, fin = self._stream_send_queue.pop(0)
+            stream_id, chunk, fin = self._stream_send_queue.popleft()
             offset = self._stream_offsets_sent.setdefault(stream_id, 0)
             frames: list[Frame] = []
-            state = self.spaces[PacketSpace.APPLICATION]
+            state = self.spaces[_APPLICATION]
             if state.pending_ack_eliciting > 0:
-                frames.append(self._build_ack_frame(PacketSpace.APPLICATION))
+                frames.append(self._build_ack_frame(_APPLICATION))
             frames.append(StreamFrame(stream_id, offset, chunk, fin))
             self._stream_offsets_sent[stream_id] = offset + len(chunk)
-            self._send_packet(PacketSpace.APPLICATION, frames)
+            self._send_packet(_APPLICATION, frames)
             self._app_packets_in_flight += 1
 
     # ------------------------------------------------------------------
@@ -874,7 +961,7 @@ class QuicEndpoint:
         if self.remote_cid is None:
             raise RuntimeError("remote connection ID unknown")
         header: ShortHeader | LongHeader
-        if space is PacketSpace.APPLICATION:
+        if space is _APPLICATION:
             rotate_after = self.config.rotate_cid_after_packets
             if (
                 rotate_after is not None
@@ -903,33 +990,30 @@ class QuicEndpoint:
             )
         else:
             header = LongHeader(
-                long_type=(
-                    LongPacketType.INITIAL
-                    if space is PacketSpace.INITIAL
-                    else LongPacketType.HANDSHAKE
-                ),
+                long_type=_LONG_INITIAL if space is _INITIAL else _LONG_HANDSHAKE,
                 version=self.version,
                 destination_cid=self.remote_cid,
                 source_cid=self.local_cid,
                 packet_number=pn,
                 token=(
                     self._retry_token
-                    if space is PacketSpace.INITIAL
-                    and self.role is EndpointRole.CLIENT
+                    if space is _INITIAL and self.role is _CLIENT
                     else b""
                 ),
                 largest_acked=state.largest_acked_by_peer,
             )
+        frames = tuple(frames)
         if pad_to:
-            trial_length = len(QuicPacket(header=header, frames=tuple(frames)).encode())
+            trial_length = len(QuicPacket(header, frames).encode())
             if trial_length < pad_to:
-                frames = list(frames) + [PaddingFrame(pad_to - trial_length)]
-        packet = QuicPacket(header=header, frames=tuple(frames))
+                frames += (PaddingFrame(pad_to - trial_length),)
+        packet = QuicPacket(header, frames)
         state.sent[pn] = _SentPacketInfo(
             time_ms=self.simulator.now_ms,
-            frames=tuple(frames),
+            frames=frames,
             ack_eliciting=packet.is_ack_eliciting,
         )
+        state.unacked.append(pn)
         return packet
 
     def _send_packet(
@@ -944,29 +1028,30 @@ class QuicEndpoint:
         if self.transport is None:
             raise RuntimeError("endpoint has no transport attached")
         data = encode_datagram(packets)
-        now = self.simulator.now_ms
         if self._m_packets_sent is not None:
             self._m_packets_sent.inc(len(packets))
         if self.recorder is not None:
+            now = self.simulator.now_ms
+            size = len(data) if len(packets) == 1 else 0
             for packet in packets:
-                is_short = isinstance(packet.header, ShortHeader)
+                header = packet.header
+                is_short = header.__class__ is ShortHeader
                 self.recorder.on_packet_sent(
                     now,
-                    packet.header.packet_type.value,
-                    packet.header.packet_number,
-                    packet.header.spin_bit if is_short else None,
-                    len(data) if len(packets) == 1 else 0,
-                    packet.header.vec if is_short else 0,
+                    header.packet_type._value_,
+                    header.packet_number,
+                    header.spin_bit if is_short else None,
+                    size,
+                    header.vec if is_short else 0,
                 )
-        for packet in packets:
-            info = self.spaces[_PACKET_TYPE_TO_SPACE[packet.header.packet_type]].sent[
-                packet.header.packet_number
-            ]
-            if packet.is_ack_eliciting and info.ack_eliciting and len(packets) > 1:
-                self._arm_pto(
-                    _PACKET_TYPE_TO_SPACE[packet.header.packet_type],
-                    packet.header.packet_number,
-                )
+        if len(packets) > 1:
+            # A coalesced datagram's packets are each armed here; a
+            # lone packet is armed by ``_send_packet`` after sending.
+            for packet in packets:
+                if packet.is_ack_eliciting:
+                    self._arm_pto(
+                        _space_of(packet.header), packet.header.packet_number
+                    )
         self.transport(data)
         reset_after = self.config.reset_after_packets
         if (
@@ -1009,7 +1094,7 @@ class QuicEndpoint:
         if info is None or info.acked or info.retransmitted:
             return
         if retries >= self.config.pto_max_retries:
-            self.failed = f"pto exhausted in {space.value} space (pn {pn})"
+            self.failed = f"pto exhausted in {space.name.lower()} space (pn {pn})"
             self.closed = True
             return
         info.retransmitted = True
@@ -1072,42 +1157,43 @@ def _contiguous_from(chunks: dict[int, bytes], start: int, consume: bool = True)
     """Pull contiguous bytes from an offset-indexed chunk buffer.
 
     Overlapping retransmissions are tolerated: a chunk whose range was
-    already (partly) delivered contributes only its new suffix.
+    already (partly) delivered contributes only its new suffix.  With
+    ``consume`` the delivered and the stale chunks are removed.
     """
+    if len(chunks) == 1 and start in chunks:
+        # In-order arrival: the one buffered chunk starts right here.
+        return chunks.pop(start) if consume else chunks[start]
     parts: list[bytes] = []
     position = start
-    while True:
-        advanced = False
-        for offset in sorted(chunks):
-            data = chunks[offset]
-            if offset <= position < offset + len(data):
-                parts.append(data[position - offset :])
-                position = offset + len(data)
-                if consume:
-                    del chunks[offset]
-                advanced = True
-                break
-            if consume and offset + len(data) <= position:
-                del chunks[offset]
-        if not advanced:
+    # One ascending pass: once ``position`` has moved past a chunk, no
+    # chunk below it can extend the run again.
+    for offset in sorted(chunks):
+        if offset > position:
             break
+        data = chunks[offset]
+        end = offset + len(data)
+        if position < end:
+            parts.append(data[position - offset :])
+            position = end
+        if consume:
+            del chunks[offset]
     return b"".join(parts)
 
 
-def _pns_to_ranges(pns: set[int]):
-    """Convert a set of packet numbers into descending AckRanges."""
-    from repro.quic.frames import AckRange
+def _space_of(header: ShortHeader | LongHeader) -> PacketSpace:
+    """The packet-number space a 1-RTT, Initial or Handshake packet uses."""
+    if header.__class__ is ShortHeader:
+        return _APPLICATION
+    if header.long_type is _LONG_INITIAL:
+        return _INITIAL
+    if header.long_type is _LONG_HANDSHAKE:
+        return _HANDSHAKE
+    raise KeyError(header.packet_type)
 
-    ordered = sorted(pns, reverse=True)
-    ranges = []
-    range_largest = ordered[0]
-    previous = ordered[0]
-    for pn in ordered[1:]:
-        if pn == previous - 1:
-            previous = pn
-            continue
-        ranges.append(AckRange(previous, range_largest))
-        range_largest = pn
-        previous = pn
-    ranges.append(AckRange(previous, range_largest))
-    return tuple(ranges)
+
+def _pns_to_ranges(pns: set[int]) -> tuple[AckRange, ...]:
+    """Convert a set of packet numbers into descending AckRanges."""
+    received = ReceivedRanges()
+    for pn in pns:
+        received.add(pn)
+    return received.ack_ranges()

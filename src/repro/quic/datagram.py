@@ -6,6 +6,10 @@ delimits them and a short-header packet, if present, always comes last
 and extends to the end of the datagram.  The passive observer parses
 datagrams exactly this way, so the codec here is shared between
 endpoints and observer.
+
+A datagram is encoded into one ``bytearray`` that every header and frame
+appends to, and decoded by offset: headers and frames are read in place
+and only frame data is copied out.
 """
 
 from __future__ import annotations
@@ -13,40 +17,64 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.quic.frames import Frame, decode_frames, encode_frames
+from repro.quic.frames import Frame, decode_frames_at
 from repro.quic.packet import (
     HeaderParseError,
     LongHeader,
     LongPacketType,
     ShortHeader,
     VersionNegotiationHeader,
-    parse_header,
+    parse_header_at,
 )
 
 __all__ = ["ParsedPacket", "QuicPacket", "decode_datagram", "encode_datagram"]
 
 
-@dataclass
+@dataclass(slots=True)
 class QuicPacket:
-    """A packet ready for encoding: header plus plaintext frames."""
+    """A packet ready for encoding: header plus plaintext frames.
+
+    ``is_ack_eliciting`` (any frame elicits an ACK) is computed once,
+    when the packet is built.
+    """
 
     header: ShortHeader | LongHeader
     frames: Sequence[Frame] = field(default_factory=tuple)
+    is_ack_eliciting: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        eliciting = False
+        for frame in self.frames:
+            if frame.is_ack_eliciting:
+                eliciting = True
+                break
+        self.is_ack_eliciting = eliciting
+
+    def encode_into(self, buf: bytearray) -> None:
+        """Append header and payload wire bytes to ``buf``."""
+        header = self.header
+        if header.__class__ is ShortHeader:
+            header.encode_into(buf)
+            for frame in self.frames:
+                frame.encode_into(buf)
+            return
+        # A long header's Length field precedes the packet number, so
+        # the payload is laid out first.
+        payload = bytearray()
+        for frame in self.frames:
+            frame.encode_into(payload)
+        header.payload_length = len(payload)
+        header.encode_into(buf)
+        buf += payload
 
     def encode(self) -> bytes:
         """Serialize header and payload into wire bytes."""
-        payload = encode_frames(self.frames)
-        if isinstance(self.header, LongHeader):
-            self.header.payload_length = len(payload)
-        return self.header.encode() + payload
-
-    @property
-    def is_ack_eliciting(self) -> bool:
-        """A packet elicits an ACK if any of its frames does."""
-        return any(frame.is_ack_eliciting for frame in self.frames)
+        buf = bytearray()
+        self.encode_into(buf)
+        return bytes(buf)
 
 
-@dataclass
+@dataclass(slots=True)
 class ParsedPacket:
     """A packet recovered from wire bytes.
 
@@ -67,12 +95,13 @@ def encode_datagram(packets: Sequence[QuicPacket]) -> bytes:
     The caller must order packets per RFC 9000 12.2 (Initial before
     Handshake before 1-RTT); a short-header packet may only be last.
     """
-    parts = []
+    buf = bytearray()
+    last = len(packets) - 1
     for index, packet in enumerate(packets):
-        if isinstance(packet.header, ShortHeader) and index != len(packets) - 1:
+        if index != last and packet.header.__class__ is ShortHeader:
             raise ValueError("a short-header packet must be the last in a datagram")
-        parts.append(packet.encode())
-    return b"".join(parts)
+        packet.encode_into(buf)
+    return bytes(buf)
 
 
 def decode_datagram(
@@ -86,31 +115,24 @@ def decode_datagram(
     """
     packets: list[ParsedPacket] = []
     offset = 0
-    while offset < len(data):
-        header, header_length = parse_header(data[offset:], short_dcid_length)
-        if isinstance(header, VersionNegotiationHeader) or (
-            isinstance(header, LongHeader)
-            and header.long_type is LongPacketType.RETRY
+    total = len(data)
+    while offset < total:
+        header, payload_offset = parse_header_at(data, offset, short_dcid_length)
+        if header.__class__ is ShortHeader:
+            end = total
+        elif header.__class__ is VersionNegotiationHeader or (
+            header.long_type is LongPacketType.RETRY
         ):
             # VN and Retry packets have no frames and consume the rest
             # of the datagram (they are never coalesced).
-            packets.append(
-                ParsedPacket(
-                    header=header, frames=[], wire_length=len(data) - offset
-                )
-            )
+            packets.append(ParsedPacket(header, [], total - offset))
             break
-        if isinstance(header, LongHeader):
-            payload_length = header.payload_length
-            end = offset + header_length + payload_length
-            if payload_length < 0 or end > len(data):
-                raise HeaderParseError("long header length field exceeds datagram")
         else:
-            end = len(data)
-        payload = data[offset + header_length : end]
-        frames = decode_frames(payload, ack_delay_exponent)
-        packets.append(
-            ParsedPacket(header=header, frames=frames, wire_length=end - offset)
-        )
+            payload_length = header.payload_length
+            end = payload_offset + payload_length
+            if payload_length < 0 or end > total:
+                raise HeaderParseError("long header length field exceeds datagram")
+        frames = decode_frames_at(data, payload_offset, end, ack_delay_exponent)
+        packets.append(ParsedPacket(header, frames, end - offset))
         offset = end
     return packets

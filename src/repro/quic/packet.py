@@ -24,16 +24,21 @@ Encryption is *not* applied (see DESIGN.md Section 6): the spin bit and
 every field the observer reads are unprotected in real QUIC as well, and
 the analysis never looks at payload plaintext.  Reserved bits are
 emitted as zero as the RFC requires post-header-protection.
+
+Headers append their bytes to a caller-owned ``bytearray``
+(:meth:`ShortHeader.encode_into` and friends), so a whole datagram is
+built in one buffer, and :func:`parse_header_at` reads a header in place
+at any offset of a datagram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, IntEnum
 
 from repro.quic.connection_id import ConnectionId
 from repro.quic.packet_number import encode_packet_number
-from repro.quic.varint import decode_varint, encode_varint
+from repro.quic.varint import decode_varint, write_varint
 
 __all__ = [
     "HeaderParseError",
@@ -43,6 +48,7 @@ __all__ = [
     "ShortHeader",
     "VersionNegotiationHeader",
     "parse_header",
+    "parse_header_at",
 ]
 
 _FORM_BIT = 0x80
@@ -59,8 +65,8 @@ class HeaderParseError(ValueError):
     """Raised when bytes cannot be parsed as a QUIC packet header."""
 
 
-class LongPacketType(Enum):
-    """The four long-header packet types of QUIC v1."""
+class LongPacketType(IntEnum):
+    """The four long-header packet types of QUIC v1 (their wire values)."""
 
     INITIAL = 0x0
     ZERO_RTT = 0x1
@@ -83,16 +89,33 @@ class PacketType(Enum):
         return self is not PacketType.ONE_RTT
 
 
-_LONG_TYPE_TO_PACKET_TYPE = {
-    LongPacketType.INITIAL: PacketType.INITIAL,
-    LongPacketType.ZERO_RTT: PacketType.ZERO_RTT,
-    LongPacketType.HANDSHAKE: PacketType.HANDSHAKE,
-    LongPacketType.RETRY: PacketType.RETRY,
-}
+#: Indexed by the long-header type bits.
+_LONG_TYPES = tuple(LongPacketType)
+_LONG_TYPE_TO_PACKET_TYPE = (
+    PacketType.INITIAL,
+    PacketType.ZERO_RTT,
+    PacketType.HANDSHAKE,
+    PacketType.RETRY,
+)
 
 
-@dataclass
-class ShortHeader:
+class _Header:
+    """Shared by the header types: ``encode`` in terms of ``encode_into``."""
+
+    __slots__ = ()
+
+    def encode_into(self, buf: bytearray) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def encode(self) -> bytes:
+        """Serialize the header (first byte through packet number)."""
+        buf = bytearray()
+        self.encode_into(buf)
+        return bytes(buf)
+
+
+@dataclass(slots=True)
+class ShortHeader(_Header):
     """A parsed or to-be-encoded 1-RTT (short) packet header.
 
     ``vec`` occupies the two reserved bits.  In RFC-compliant QUIC these
@@ -118,25 +141,20 @@ class ShortHeader:
         if not 0 <= self.vec <= 3:
             raise ValueError(f"VEC must be a 2-bit value, got {self.vec}")
 
-    def encode(self) -> bytes:
-        """Serialize the header (first byte through packet number)."""
+    def encode_into(self, buf: bytearray) -> None:
         pn_bytes = encode_packet_number(self.packet_number, self.largest_acked)
         first = _FIXED_BIT | (len(pn_bytes) - 1) | (self.vec << _RESERVED_SHIFT)
         if self.spin_bit:
             first |= _SPIN_BIT
         if self.key_phase:
             first |= _KEY_PHASE_BIT
-        # Short headers are encoded once per simulated packet, so this
-        # is the hottest codec path; a single bytearray avoids the
-        # intermediate bytes objects of chained concatenation.
-        buf = bytearray((first,))
+        buf.append(first)
         buf += self.destination_cid.value
         buf += pn_bytes
-        return bytes(buf)
 
 
-@dataclass
-class LongHeader:
+@dataclass(slots=True)
+class LongHeader(_Header):
     """A parsed or to-be-encoded long packet header."""
 
     long_type: LongPacketType
@@ -153,33 +171,29 @@ class LongHeader:
     def packet_type(self) -> PacketType:
         return _LONG_TYPE_TO_PACKET_TYPE[self.long_type]
 
-    def encode(self) -> bytes:
-        """Serialize the header (first byte through packet number)."""
+    def encode_into(self, buf: bytearray) -> None:
         pn_bytes = encode_packet_number(self.packet_number, self.largest_acked)
-        first = _FORM_BIT | _FIXED_BIT | (self.long_type.value << 4) | (len(pn_bytes) - 1)
-        parts = [
-            bytes((first,)),
-            self.version.to_bytes(4, "big"),
-            bytes((len(self.destination_cid),)),
-            self.destination_cid.value,
-            bytes((len(self.source_cid),)),
-            self.source_cid.value,
-        ]
-        if self.long_type is LongPacketType.INITIAL:
-            parts.append(encode_varint(len(self.token)))
-            parts.append(self.token)
-        if self.long_type is LongPacketType.RETRY:
+        long_type = self.long_type
+        buf.append(_FORM_BIT | _FIXED_BIT | (long_type << 4) | (len(pn_bytes) - 1))
+        buf += self.version.to_bytes(4, "big")
+        buf.append(len(self.destination_cid))
+        buf += self.destination_cid.value
+        buf.append(len(self.source_cid))
+        buf += self.source_cid.value
+        if long_type is LongPacketType.INITIAL:
+            write_varint(buf, len(self.token))
+            buf += self.token
+        if long_type is LongPacketType.RETRY:
             # The retry token runs to the end of the packet.
-            parts.append(self.token)
+            buf += self.token
         else:
             # Length covers packet number + payload (RFC 9000 17.2).
-            parts.append(encode_varint(len(pn_bytes) + self.payload_length))
-            parts.append(pn_bytes)
-        return b"".join(parts)
+            write_varint(buf, len(pn_bytes) + self.payload_length)
+            buf += pn_bytes
 
 
-@dataclass
-class VersionNegotiationHeader:
+@dataclass(slots=True)
+class VersionNegotiationHeader(_Header):
     """A Version Negotiation packet (RFC 9000 Section 17.2.1).
 
     Sent by a server that does not support the version of a received
@@ -197,18 +211,15 @@ class VersionNegotiationHeader:
         if not self.supported_versions:
             raise ValueError("a VN packet must list at least one version")
 
-    def encode(self) -> bytes:
-        parts = [
-            bytes((_FORM_BIT | _FIXED_BIT,)),  # unused bits; fixed set
-            (0).to_bytes(4, "big"),  # version 0 marks negotiation
-            bytes((len(self.destination_cid),)),
-            self.destination_cid.value,
-            bytes((len(self.source_cid),)),
-            self.source_cid.value,
-        ]
+    def encode_into(self, buf: bytearray) -> None:
+        buf.append(_FORM_BIT | _FIXED_BIT)  # unused bits; fixed set
+        buf += bytes(4)  # version 0 marks negotiation
+        buf.append(len(self.destination_cid))
+        buf += self.destination_cid.value
+        buf.append(len(self.source_cid))
+        buf += self.source_cid.value
         for version in self.supported_versions:
-            parts.append(int(version).to_bytes(4, "big"))
-        return b"".join(parts)
+            buf += int(version).to_bytes(4, "big")
 
 
 def parse_header(
@@ -226,46 +237,52 @@ def parse_header(
     :func:`repro.quic.packet_number.decode_packet_number` with their own
     per-direction state.
     """
-    if not data:
+    return parse_header_at(data, 0, short_dcid_length)
+
+
+def parse_header_at(
+    data: bytes, offset: int, short_dcid_length: int
+) -> tuple[ShortHeader | LongHeader | VersionNegotiationHeader, int]:
+    """:func:`parse_header` of the packet starting at ``data[offset]``.
+
+    The packet extends to the end of ``data``; the returned payload
+    offset is an index into ``data``.
+    """
+    if offset >= len(data):
         raise HeaderParseError("empty packet")
-    first = data[0]
+    first = data[offset]
     if not first & _FIXED_BIT:
         raise HeaderParseError("fixed bit is zero (not a QUIC v1/draft packet)")
     if first & _FORM_BIT:
-        return _parse_long_header(data)
-    return _parse_short_header(data, short_dcid_length)
-
-
-def _parse_short_header(data: bytes, dcid_length: int) -> tuple[ShortHeader, int]:
-    first = data[0]
+        return _parse_long_header(data, offset)
+    # Short header, parsed inline: it is nearly every packet.
     pn_length = (first & _PN_LENGTH_MASK) + 1
-    offset = 1
-    if len(data) < offset + dcid_length + pn_length:
+    pn_start = offset + 1 + short_dcid_length
+    end = pn_start + pn_length
+    if len(data) < end:
         raise HeaderParseError("short header truncated")
-    dcid = ConnectionId(data[offset : offset + dcid_length])
-    offset += dcid_length
-    truncated_pn = int.from_bytes(data[offset : offset + pn_length], "big")
-    offset += pn_length
     header = ShortHeader(
-        destination_cid=dcid,
-        packet_number=truncated_pn,
+        destination_cid=ConnectionId(data[offset + 1 : pn_start]),
+        packet_number=int.from_bytes(data[pn_start:end], "big"),
         spin_bit=bool(first & _SPIN_BIT),
         key_phase=bool(first & _KEY_PHASE_BIT),
         vec=(first & _RESERVED_MASK) >> _RESERVED_SHIFT,
+        pn_length=pn_length,
     )
-    header.pn_length = pn_length
-    return header, offset
+    return header, end
 
 
-def _parse_long_header(data: bytes) -> tuple[LongHeader | VersionNegotiationHeader, int]:
-    first = data[0]
-    if len(data) < 7:
+def _parse_long_header(
+    data: bytes, start: int
+) -> tuple[LongHeader | VersionNegotiationHeader, int]:
+    first = data[start]
+    if len(data) - start < 7:
         raise HeaderParseError("long header truncated before version")
-    version = int.from_bytes(data[1:5], "big")
+    version = int.from_bytes(data[start + 1 : start + 5], "big")
     if version == 0:
-        return _parse_version_negotiation(data)
-    long_type = LongPacketType((first & _LONG_TYPE_MASK) >> 4)
-    offset = 5
+        return _parse_version_negotiation(data, start)
+    long_type = _LONG_TYPES[(first & _LONG_TYPE_MASK) >> 4]
+    offset = start + 5
     dcid_len = data[offset]
     offset += 1
     if dcid_len > ConnectionId.MAX_LENGTH or len(data) < offset + dcid_len + 1:
@@ -313,8 +330,10 @@ def _parse_long_header(data: bytes) -> tuple[LongHeader | VersionNegotiationHead
     return header, offset
 
 
-def _parse_version_negotiation(data: bytes) -> tuple[VersionNegotiationHeader, int]:
-    offset = 5
+def _parse_version_negotiation(
+    data: bytes, start: int
+) -> tuple[VersionNegotiationHeader, int]:
+    offset = start + 5
     if offset >= len(data):
         raise HeaderParseError("VN packet truncated at DCID length")
     dcid_len = data[offset]
@@ -329,11 +348,11 @@ def _parse_version_negotiation(data: bytes) -> tuple[VersionNegotiationHeader, i
         raise HeaderParseError("VN packet SCID truncated")
     scid = ConnectionId(data[offset : offset + scid_len])
     offset += scid_len
-    remainder = data[offset:]
-    if not remainder or len(remainder) % 4 != 0:
+    remainder = len(data) - offset
+    if not remainder or remainder % 4 != 0:
         raise HeaderParseError("VN version list malformed")
     versions = tuple(
-        int.from_bytes(remainder[i : i + 4], "big") for i in range(0, len(remainder), 4)
+        int.from_bytes(data[i : i + 4], "big") for i in range(offset, len(data), 4)
     )
     return (
         VersionNegotiationHeader(

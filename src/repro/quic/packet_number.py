@@ -28,11 +28,11 @@ def packet_number_length(full_pn: int, largest_acked: int | None) -> int:
         num_unacked = full_pn + 1
     else:
         num_unacked = full_pn - largest_acked
-    min_bits = max(num_unacked.bit_length() + 1, 1)
-    length = (min_bits + 7) // 8
+    # Whole bytes covering bit_length + 1 bits; at least one.
+    length = (num_unacked.bit_length() + 8) >> 3
     if length > 4:
         raise ValueError("packet number range too large to encode")
-    return max(length, 1)
+    return length
 
 
 def encode_packet_number(full_pn: int, largest_acked: int | None) -> bytes:

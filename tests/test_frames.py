@@ -1,7 +1,7 @@
 """QUIC frame encoding and parsing."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quic.frames import (
@@ -16,6 +16,7 @@ from repro.quic.frames import (
     PingFrame,
     StreamFrame,
     decode_frames,
+    decode_frames_at,
     encode_frames,
 )
 
@@ -188,3 +189,58 @@ def test_stream_frame_roundtrip_property(stream_id, offset, data, fin):
         encode_frames([StreamFrame(stream_id, offset, data, fin)])
     )
     assert decoded == StreamFrame(stream_id, offset, data, fin)
+
+
+_SAMPLE_FRAMES = [
+    AckFrame(
+        largest_acknowledged=900,
+        ack_delay_us=4_000,
+        ranges=(AckRange(880, 900), AckRange(300, 870), AckRange(2, 5)),
+    ),
+    StreamFrame(4, 70_000, b"s" * 90, fin=True),
+    CryptoFrame(offset=300, data=b"c" * 70),
+    NewConnectionIdFrame(3, 1, b"\xab" * 8),
+    ConnectionCloseFrame(error_code=0x1234, frame_type=6, reason=b"why"),
+    PaddingFrame(9),
+    PingFrame(),
+    HandshakeDoneFrame(),
+]
+
+
+#: Wire bytes of each sample frame, plus a STREAM frame without a
+#: Length field (type 0x0c), which runs to the end of its packet.
+_SAMPLE_PAYLOADS = [encode_frames([frame]) for frame in _SAMPLE_FRAMES] + [
+    bytes.fromhex("0c04" + "4400") + b"tail"
+]
+
+
+def _outcome(decode):
+    try:
+        return decode()
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=600)
+@given(
+    picks=st.lists(st.sampled_from(_SAMPLE_PAYLOADS), min_size=1, max_size=4),
+    before=st.binary(max_size=8),
+    # Bytes below 0x40 read as 1-byte varints, so a frame cut short can
+    # run on into them without hitting the end of the datagram.
+    after=st.lists(st.integers(0, 0x3F), max_size=40).map(bytes) | st.binary(max_size=40),
+    data=st.data(),
+)
+def test_decode_in_place_equals_decoding_the_cut_payload(picks, before, after, data):
+    """Frames read by offset inside a datagram decode, or fail, exactly
+    as the same payload cut out of it does — also when the payload is
+    truncated or corrupted and the next packet's bytes follow it."""
+    payload = bytearray(b"".join(picks))
+    del payload[data.draw(st.integers(1, len(payload))) :]
+    if data.draw(st.booleans()):
+        payload[data.draw(st.integers(0, len(payload) - 1))] = data.draw(st.integers(0, 255))
+    payload = bytes(payload)
+    datagram = before + payload + after
+    start, end = len(before), len(before) + len(payload)
+    assert _outcome(lambda: decode_frames_at(datagram, start, end)) == _outcome(
+        lambda: decode_frames(payload)
+    )
